@@ -27,6 +27,7 @@ from repro.baselines.nlwj import NLWJWindow
 from repro.baselines.round_robin import RoundRobinIndex
 from repro.core.im_tree import IMTree
 from repro.core.pim_tree import PIMTree
+from repro.join.streams import check_band_args, gpos_by_side
 
 
 @dataclass
@@ -329,6 +330,7 @@ def run_ibwj(
     steady-state measurements are unaffected; it only avoids paying for
     throwaway probes on large windows.
     """
+    check_band_args(w_r, w_s, diff)
     # Plain lists: per-tuple numpy scalar extraction would add ~1 us of
     # driver overhead per tuple and compress the index-cost differences
     # this harness exists to measure.
@@ -336,7 +338,7 @@ def run_ibwj(
     sposs = seq["spos"].to_numpy().tolist()
     xs = seq["x"].to_numpy().tolist()
     opps = seq["opp_seen"].to_numpy().tolist()
-    gposs = seq["gpos"].to_numpy().tolist()
+    gpos_of = gpos_by_side(seq, self_join=self_join)
     n = len(seq)
 
     if self_join:
@@ -347,12 +349,9 @@ def run_ibwj(
     win = {"R": w_r, "S": w_s}
     own = {"R": idx_r, "S": idx_s}
     opp = {"R": idx_s, "S": idx_r}
-    # gpos lookup by (side, spos) for pair materialisation, and the key
-    # ring used to retire expired tuples from delete-based indexes.
-    gpos_of = {"R": [], "S": []}
+    # Key ring used to retire expired tuples from delete-based indexes.
     keyring: dict[str, list[int]] = {"R": [0] * w_r, "S": [0] * w_s}
     if self_join:
-        gpos_of["S"] = gpos_of["R"]
         keyring["S"] = keyring["R"]
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
@@ -363,59 +362,60 @@ def run_ibwj(
     # comparison measures index work, not allocator luck.
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    t_start = time.perf_counter()
+    try:
+        t_start = time.perf_counter()
 
-    for t in range(n):
-        if t == warmup:
-            costs = StepCosts()  # warmup ops are excluded from the breakdown
-            t_start = time.perf_counter()
-        side = sides[t]
-        spos = sposs[t]
-        x = xs[t]
-        opp_side = side if self_join else ("S" if side == "R" else "R")
-        w_opp = win[opp_side]
-        w_own = win[side]
-        # Step 1 — probe the opposite window for band matches.
-        min_pos = opps[t] - w_opp + 1
-        lo, hi = x - diff, x + diff
-        if t < warmup and not probe_during_warmup:
-            matches = ()
-        elif measure:
-            matches, ts, tc = opp[side].probe_split(lo, hi, min_pos)
-            costs.search += ts
-            costs.scan += tc
-        else:
-            matches = opp[side].probe(lo, hi, min_pos)
-        n_matches += len(matches)
-        if pairs is not None and t >= warmup:
-            g = gposs[t]
-            olist = gpos_of[opp_side]
-            for _, mpos in matches:
-                pairs.append((g, olist[mpos - 1]))
-        # Step 2 — retire the tuple that falls out of this window.
-        if spos > w_own:
-            epos = spos - w_own
-            ekey = keyring[side][(epos - 1) % w_own]
+        for t in range(n):
+            if t == warmup:
+                costs = StepCosts()  # warmup ops are excluded from the breakdown
+                t_start = time.perf_counter()
+            side = sides[t]
+            spos = sposs[t]
+            x = xs[t]
+            opp_side = side if self_join else ("S" if side == "R" else "R")
+            w_opp = win[opp_side]
+            w_own = win[side]
+            # Step 1 — probe the opposite window for band matches.
+            min_pos = opps[t] - w_opp + 1
+            lo, hi = x - diff, x + diff
+            if t < warmup and not probe_during_warmup:
+                matches = ()
+            elif measure:
+                matches, ts, tc = opp[side].probe_split(lo, hi, min_pos)
+                costs.search += ts
+                costs.scan += tc
+            else:
+                matches = opp[side].probe(lo, hi, min_pos)
+            n_matches += len(matches)
+            if pairs is not None and t >= warmup:
+                g = gpos_of[side][spos - 1]
+                olist = gpos_of[opp_side]
+                for _, mpos in matches:
+                    pairs.append((g, olist[mpos - 1]))
+            # Step 2 — retire the tuple that falls out of this window.
+            if spos > w_own:
+                epos = spos - w_own
+                ekey = keyring[side][(epos - 1) % w_own]
+                if measure:
+                    t0 = time.perf_counter()
+                    own[side].retire(ekey, epos)
+                    costs.delete += time.perf_counter() - t0
+                else:
+                    own[side].retire(ekey, epos)
+            # Step 3 — insert the new tuple, then maintenance (merges).
             if measure:
                 t0 = time.perf_counter()
-                own[side].retire(ekey, epos)
-                costs.delete += time.perf_counter() - t0
+                own[side].insert(x, spos)
+                costs.insert += time.perf_counter() - t0
             else:
-                own[side].retire(ekey, epos)
-        # Step 3 — insert the new tuple, then maintenance (merges).
-        if measure:
-            t0 = time.perf_counter()
-            own[side].insert(x, spos)
-            costs.insert += time.perf_counter() - t0
-        else:
-            own[side].insert(x, spos)
-        own[side].maintain(spos - w_own + 1, costs, measure)
-        keyring[side][(spos - 1) % w_own] = x
-        gpos_of[side].append(gposs[t])
+                own[side].insert(x, spos)
+            own[side].maintain(spos - w_own + 1, costs, measure)
+            keyring[side][(spos - 1) % w_own] = x
 
-    elapsed = time.perf_counter() - t_start
-    if gc_was_enabled:
-        gc.enable()
+        elapsed = time.perf_counter() - t_start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     costs.n_tuples = n - warmup
     costs.n_matches = n_matches
     return JoinResult(pairs, n_matches, n - warmup, elapsed, costs)

@@ -23,6 +23,10 @@ Key mechanisms mirrored from the paper:
   snapshot) with a linear window scan over [edge snapshot, t_l];
 - the edge advances under a try-lock; result propagation drains the
   queue head under another try-lock, preserving arrival order.
+
+Bookkeeping is O(1) per tuple and per result pair: per-tuple state is
+held in plain lists (a numpy scalar read costs several list reads), and
+a pair's earlier tuple maps from (side, spos) to gpos by one list index.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
+from repro.join.streams import check_band_args, gpos_by_side
 
 AVAILABLE, ACTIVE, COMPLETED = 0, 1, 2
 
@@ -43,8 +48,8 @@ class _StreamState:
 
     def __init__(self, window: int, n_max: int, merge_ratio: float, d_i: int) -> None:
         self.window = window
-        self.keys = np.zeros(n_max + 1, np.int64)  # key by spos
-        self.indexed = np.zeros(n_max + 1, bool)  # spos -> indexed?
+        self.keys = [0] * (n_max + 1)  # key by spos
+        self.indexed = [False] * (n_max + 1)  # spos -> indexed?
         self.index = PIMTree(window, merge_ratio, d_i)
         self.count = 0  # tuples admitted (spos assigned)
         self.edge = 1  # earliest non-indexed spos
@@ -97,18 +102,23 @@ class ParallelIBWJ:
         self_join: bool = False,
         blocking_merge: bool = False,
     ) -> None:
+        check_band_args(w_r, w_s, diff)
+        if n_threads < 1 or task_size < 1:
+            raise ValueError(
+                f"n_threads and task_size must be >= 1, got {n_threads}, {task_size}"
+            )
         self.seq = seq
         self.diff = diff
         self.n_threads = n_threads
         self.task_size = task_size
-        self.self_join = self_join
         self.blocking_merge = blocking_merge
         n = len(seq)
-        self.sides = seq["side"].to_numpy()
-        self.sposs = seq["spos"].to_numpy().astype(np.int64)
-        self.xs = seq["x"].to_numpy().astype(np.int64)
-        self.opps = seq["opp_seen"].to_numpy().astype(np.int64)
-        self.gposs = seq["gpos"].to_numpy().astype(np.int64)
+        self.sides = seq["side"].to_numpy().tolist()
+        self.sposs = seq["spos"].to_numpy().tolist()
+        self.xs = seq["x"].to_numpy().tolist()
+        self.opps = seq["opp_seen"].to_numpy().tolist()
+        self.gpos_by_spos = gpos_by_side(seq, self_join=self_join)
+        self.opp = {"R": "R", "S": "S"} if self_join else {"R": "S", "S": "R"}
         self.win = {"R": w_r, "S": w_s}
         r_state = _StreamState(w_r, n, merge_ratio, insertion_depth)
         self.state = {
@@ -122,7 +132,7 @@ class ParallelIBWJ:
         # evict below the window of the earliest incomplete tuple (§4.1:
         # windows store everything active tuples still need); that bound
         # is cnt_before[side][head] - w + 1.
-        is_r = self.sides == "R"
+        is_r = seq["side"].to_numpy() == "R"
         self.cnt_before = {
             "R": np.concatenate([[0], np.cumsum(is_r)]).astype(np.int64),
             "S": np.concatenate([[0], np.cumsum(~is_r)]).astype(np.int64),
@@ -130,8 +140,8 @@ class ParallelIBWJ:
         if self_join:
             self.cnt_before["S"] = self.cnt_before["R"]
         # Work queue: one slot per tuple; guarded by queue_mutex.
-        self.status = np.full(n, AVAILABLE, np.int8)
-        self.t_l = np.zeros(n, np.int64)  # opposite count at assignment
+        self.status = [AVAILABLE] * n
+        self.t_l = [0] * n  # opposite count at assignment
         self.next_task = 0
         self.queue_mutex = threading.Lock()
         self.head = 0  # earliest unpropagated tuple
@@ -154,26 +164,23 @@ class ParallelIBWJ:
             self.next_task = b
             for t in range(a, b):
                 self.status[t] = ACTIVE
-                side = self.sides[t]
-                opp = side if self.self_join else ("S" if side == "R" else "R")
                 # Snapshot of the opposite window head (t_l). For the
                 # self-join the "opposite" stream is the same stream: the
                 # window head is everything admitted before this tuple.
                 self.t_l[t] = self.opps[t]
-                st = self.state[side]
-                st.count = max(st.count, int(self.sposs[t]))
-                st.keys[int(self.sposs[t])] = int(self.xs[t])
+                st = self.state[self.sides[t]]
+                spos = self.sposs[t]
+                st.count = max(st.count, spos)
+                st.keys[spos] = self.xs[t]
         return a, b
 
     # -- result generation ------------------------------------------------
     def _lookup(self, t: int) -> list[tuple[int, int]]:
-        side = self.sides[t]
-        opp_side = side if self.self_join else ("S" if side == "R" else "R")
+        opp_side = self.opp[self.sides[t]]
         ost = self.state[opp_side]
-        w_opp = self.win[opp_side]
-        t_l = int(self.t_l[t])
-        t_e = t_l - w_opp + 1
-        x = int(self.xs[t])
+        t_l = self.t_l[t]
+        t_e = t_l - self.win[opp_side] + 1
+        x = self.xs[t]
         lo, hi = x - self.diff, x + self.diff
         edge_snapshot = min(ost.edge, t_l + 1)  # stale value is safe
         with ost.index_swap:
@@ -185,7 +192,7 @@ class ParallelIBWJ:
         ]
         # Linear scan of the non-indexed window region [edge, t_l].
         for p in range(max(edge_snapshot, max(t_e, 1)), t_l + 1):
-            k = int(ost.keys[p])
+            k = ost.keys[p]
             if lo <= k <= hi:
                 matches.append((k, p))
         return matches
@@ -194,16 +201,16 @@ class ParallelIBWJ:
     def _index_update(self, t: int) -> None:
         side = self.sides[t]
         st = self.state[side]
-        spos = int(self.sposs[t])
+        spos = self.sposs[t]
         with st.index_swap:
             if st.merging:
                 # §4.2 phase 1: no index updates while the new tree is
                 # built; the tuple stays non-indexed (edge cannot pass it,
                 # so lookups find it via the linear window scan).
-                st.pending.append((int(self.xs[t]), spos))
+                st.pending.append((self.xs[t], spos))
                 deferred = True
             else:
-                st.index.insert(int(self.xs[t]), spos)
+                st.index.insert(self.xs[t], spos)
                 deferred = False
         if not deferred:
             st.indexed[spos] = True
@@ -267,37 +274,17 @@ class ParallelIBWJ:
             n = len(self.status)
             while self.head < n and self.status[self.head] == COMPLETED:
                 t = self.head
-                g = int(self.gposs[t])
-                opp_side = (
-                    self.sides[t]
-                    if self.self_join
-                    else ("S" if self.sides[t] == "R" else "R")
-                )
-                for _, p in self.results[t]:
-                    self.out.append((g, self._gpos_of(opp_side, p)))
+                side = self.sides[t]
+                g = self.gpos_by_spos[side][self.sposs[t] - 1]
+                olist = self.gpos_by_spos[self.opp[side]]
+                self.out.extend((g, olist[p - 1]) for _, p in self.results[t])
                 self.results[t] = None
                 self.head += 1
         finally:
             self.prop_mutex.release()
 
-    def _gpos_of(self, side: str, spos: int) -> int:
-        # Arrival sequences are deterministic: gpos is recoverable from
-        # (side, spos) by construction of the input frame.
-        if self.self_join:
-            return spos
-        sel = self._gpos_map.setdefault(
-            side,
-            {
-                int(s): int(g)
-                for s, g, sd in zip(self.sposs, self.gposs, self.sides)
-                if sd == side
-            },
-        )
-        return sel[spos]
-
     # -- driver -----------------------------------------------------------
     def run(self) -> ParallelResult:
-        self._gpos_map: dict[str, dict[int, int]] = {}
         errors: list[BaseException] = []
 
         def worker() -> None:

@@ -24,6 +24,28 @@ import pandas as pd
 KEY_SPACE = 1 << 24  # keys are uniform ints in [0, KEY_SPACE)
 
 
+def check_band_args(w_r: int, w_s: int, diff: int) -> None:
+    """Reject a window shorter than one tuple or a negative band half-width."""
+    if w_r < 1 or w_s < 1:
+        raise ValueError(f"windows must be >= 1, got w_r={w_r}, w_s={w_s}")
+    if diff < 0:
+        raise ValueError(f"diff must be >= 0, got {diff}")
+
+
+def gpos_by_side(seq: pd.DataFrame, *, self_join: bool = False) -> dict[str, list[int]]:
+    """gpos of every tuple per side, indexed by ``spos - 1``.
+
+    ``spos`` counts arrivals within a side, so a side's rows in arrival
+    order are the spos -> gpos map. For self-join ``"S"`` aliases ``"R"``.
+    """
+    sides = seq["side"].to_numpy()
+    gposs = seq["gpos"].to_numpy()
+    by_side = {side: gposs[sides == side].tolist() for side in ("R", "S")}
+    if self_join:
+        by_side["S"] = by_side["R"]
+    return by_side
+
+
 def diff_for_match_rate(
     match_rate: float, window: int, key_space: int = KEY_SPACE
 ) -> int:

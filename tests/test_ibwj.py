@@ -1,5 +1,7 @@
 """Oracle-equivalence tests for the single-threaded IBWJ driver across
 every index adapter and workload shape the paper evaluates."""
+import gc
+
 import pytest
 
 from repro.join import ibwj
@@ -161,3 +163,26 @@ def test_throughput_positive():
     res = ibwj.run_ibwj(seq, w, w, 100, FACTORIES["bplus"], collect_pairs=False)
     assert res.throughput > 0
     assert res.n_processed == 800
+
+
+class _RaisingAdapter(ibwj.BPlusAdapter):
+    def insert(self, key, pos):
+        raise RuntimeError("insert failed")
+
+
+def test_gc_reenabled_after_adapter_raises():
+    """run_ibwj defers GC for its loop; an exception must not leave it off."""
+    assert gc.isenabled()
+    seq = gen_stream(50, seed=22)
+    with pytest.raises(RuntimeError, match="insert failed"):
+        ibwj.run_ibwj(seq, 16, 16, 100, _RaisingAdapter)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "w_r, w_s, diff", [(0, 16, 100), (16, 0, 100), (16, 16, -1)]
+)
+def test_rejects_bad_inputs(w_r, w_s, diff):
+    seq = gen_stream(50, seed=23)
+    with pytest.raises(ValueError):
+        ibwj.run_ibwj(seq, w_r, w_s, diff, FACTORIES["bplus"])

@@ -1,8 +1,12 @@
 """Correctness tests for the §4 multithreaded join: no duplicated or
 missing results under real thread interleaving, ordered propagation,
 edge-tuple and nonblocking-merge safety."""
+import itertools
+import threading
+
 import pytest
 
+from repro.core.pim_tree import PIMTree
 from repro.join.parallel import ParallelIBWJ
 from repro.join.streams import (
     diff_for_match_rate,
@@ -129,3 +133,65 @@ def test_throughput_and_counts_reported():
     assert res.n_processed == 600
     assert res.throughput > 0
     assert res.n_matches == len(res.pairs)
+
+
+def test_cost_is_linear_in_stream_length():
+    """Per-tuple cost must not grow with the stream: a 4x longer stream
+    may cost at most 2x per tuple (margin for timing noise)."""
+    w = 128
+    diff = diff_for_match_rate(2.0, w)
+
+    def us_per_tuple(n):
+        seq = gen_stream(n, seed=12)
+        best = min(
+            ParallelIBWJ(seq, w, w, diff, n_threads=1).run().elapsed
+            for _ in range(3)
+        )
+        return best / n * 1e6
+
+    small, large = us_per_tuple(2000), us_per_tuple(8000)
+    assert large <= 2 * small, f"{small:.1f} -> {large:.1f} us/tuple"
+
+
+def test_worker_exception_is_reraised(monkeypatch):
+    """An exception in one worker ends run() with that exception, and the
+    remaining workers do not hang."""
+    calls = itertools.count()
+    insert = PIMTree.insert
+
+    def failing_insert(self, key, pos):
+        if next(calls) == 200:
+            raise RuntimeError("insert failed")
+        insert(self, key, pos)
+
+    monkeypatch.setattr(PIMTree, "insert", failing_insert)
+    w = 64
+    seq = gen_stream(1000, seed=13)
+    j = ParallelIBWJ(
+        seq, w, w, diff_for_match_rate(2.0, w), n_threads=4, task_size=4
+    )
+    raised = []
+
+    def run():
+        try:
+            j.run()
+        except RuntimeError as e:
+            raised.append(e)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive(), "run() hung after a worker raised"
+    assert [str(e) for e in raised] == ["insert failed"]
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"w_r": 0}, {"w_s": 0}, {"diff": -1}, {"n_threads": 0}, {"task_size": 0}],
+    ids=lambda kw: next(iter(kw)),
+)
+def test_rejects_bad_inputs(kw):
+    args = {"w_r": 16, "w_s": 16, "diff": 100, **kw}
+    seq = gen_stream(50, seed=14)
+    with pytest.raises(ValueError):
+        ParallelIBWJ(seq, **args)

@@ -7,6 +7,7 @@ from repro.join.streams import (
     band_join_sql,
     diff_for_match_rate,
     gen_stream,
+    gpos_by_side,
     reference_pairs,
     shifting_gaussian_stream,
 )
@@ -127,3 +128,12 @@ def test_shifting_gaussian_r0_is_stationary():
 def test_band_join_sql_table_name():
     sql = band_join_sql(10, 10, 5, table="foo")
     assert "FROM foo e JOIN foo l" in sql
+
+
+def test_gpos_by_side_maps_spos_to_gpos():
+    seq = gen_stream(40, seed=3, rate_r=3, rate_s=1)
+    by_side = gpos_by_side(seq)
+    for g, side, spos in zip(seq["gpos"], seq["side"], seq["spos"]):
+        assert by_side[side][spos - 1] == g
+    selfj = gpos_by_side(gen_stream(10, self_join=True), self_join=True)
+    assert selfj["S"] is selfj["R"] and selfj["R"] == list(range(1, 11))
