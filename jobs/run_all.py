@@ -1,76 +1,49 @@
-"""Run every table job at full scale and collect results/ into one file.
+"""Run the evaluation tables of ``repro.bench.registry``.
 
-Usage: ``python jobs/run_all.py [--smoke]``. Produces ``results/tableXX_*.md``
-(one per table) and ``results/ALL.md``; EXPERIMENTS.md quotes these
-numbers next to the paper's.
+Usage: ``spark-submit jobs/run_all.py [--smoke] [--only name[,name...]]``
+(or ``python jobs/run_all.py ...``). Writes one ``<name>.md`` per table
+plus ``ALL.md``, all tables in registry order, to ``results/`` at full
+scale (EXPERIMENTS.md quotes these numbers next to the paper's) and to
+the git-ignored ``results/smoke/`` with ``--smoke``, which shrinks the
+sweeps. ``--only`` takes exact table names.
 """
-import glob
-import importlib
-import os
 import sys
 import time
 
-JOBS = [
-    "table01_existing_approaches",
-    "table02_chained",
-    "table03_insertion_depth",
-    "table04_insertion_depth_par",
-    "table05_merge_ratio_par",
-    "table06_breakdown",
-    "table07_merge_ratio_im",
-    "table08_merge_ratio_pim",
-    "table09_single_threaded",
-    "table10_match_rate",
-    "table11_match_rate_par",
-    "table12_task_size",
-    "table13_memory",
-    "table14_asym_rates",
-    "table15_asym_windows",
-    "table16_bandwidth",
-    "table17_scalability",
-    "table18_spark_scalability",
-    "table19_distributions",
-    "table20_selfjoin",
-    "table21_drift_inserts",
-    "table22_drift_throughput",
-    "table23_multithreading",
-    "table24_asym_windows_st",
-    "table25_merge_cost",
-]
+from repro.bench.registry import TABLES
+from repro.bench.report import get_spark, results_dir, run_job
 
 
-def main() -> None:
-    """``--smoke`` shrinks sweeps; ``--only a,b`` or ``--from N --to M``
-    (1-based, inclusive) select a slice of the job list."""
-    scale = "smoke" if "--smoke" in sys.argv else "full"
-    jobs = JOBS
-    if "--only" in sys.argv:
-        names = sys.argv[sys.argv.index("--only") + 1].split(",")
-        jobs = [j for j in JOBS if any(n in j for n in names)]
-    if "--from" in sys.argv:
-        a = int(sys.argv[sys.argv.index("--from") + 1])
-        b = int(sys.argv[sys.argv.index("--to") + 1]) if "--to" in sys.argv else len(JOBS)
-        jobs = JOBS[a - 1 : b]
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from repro.bench.report import get_spark
-
+def main(argv: list[str] | None = None) -> None:
+    argv = sys.argv[1:] if argv is None else argv
+    scale = "smoke" if "--smoke" in argv else "full"
+    tables = TABLES
+    if "--only" in argv:
+        names = argv[argv.index("--only") + 1].split(",")
+        valid = [t.name for t in TABLES]
+        unknown = [n for n in names if n not in valid]
+        if unknown:
+            sys.exit(
+                f"unknown table(s): {', '.join(unknown)}\n"
+                f"valid names: {', '.join(valid)}"
+            )
+        tables = [t for t in TABLES if t.name in names]
     spark = get_spark("run_all")
     t_all = time.perf_counter()
-    for name in jobs:
+    for table in tables:
         t0 = time.perf_counter()
-        mod = importlib.import_module(name)
-        mod.run(spark, scale=scale)
+        run_job(table, spark, scale)
         print(
-            f"[run_all] {name} done in {time.perf_counter() - t0:.1f}s",
+            f"[run_all] {table.name} done in {time.perf_counter() - t0:.1f}s",
             file=sys.stderr, flush=True,
         )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parts = []
-    for name in JOBS:
-        for p in sorted(glob.glob(os.path.join(root, "results", f"{name}.md"))):
-            parts.append(open(p).read())
-    with open(os.path.join(root, "results", "ALL.md"), "w") as f:
-        f.write("\n".join(parts))
+    out = results_dir(scale)
+    parts = [
+        (out / f"{t.name}.md").read_text(encoding="utf-8")
+        for t in TABLES
+        if (out / f"{t.name}.md").exists()
+    ]
+    (out / "ALL.md").write_text("\n".join(parts), encoding="utf-8")
     print(
         f"[run_all] all tables in {time.perf_counter() - t_all:.1f}s",
         file=sys.stderr,

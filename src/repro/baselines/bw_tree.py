@@ -19,6 +19,8 @@ import bisect
 
 import numpy as np
 
+from repro.core.window_index import WindowIndex
+
 
 class _Page:
     __slots__ = ("base_keys", "base_poss", "deltas", "n_dels", "bound")
@@ -41,7 +43,7 @@ class _Page:
         return len(self.base_keys) + sum(op for op, _, _ in self.deltas)
 
 
-class BwTreeLike:
+class BwTreeLike(WindowIndex):
     """Delta-chain page index with consolidation and page splits."""
 
     def __init__(
@@ -96,6 +98,8 @@ class BwTreeLike:
                 continue
             return False
         return False
+
+    retire = delete
 
     def _contains(self, page: _Page, key: int, pos: int) -> bool:
         alive = 0
@@ -187,6 +191,8 @@ class BwTreeLike:
                 break
             i += 1
         return out
+
+    probe = search_range
 
     def memory_bytes(self) -> int:
         total = 0

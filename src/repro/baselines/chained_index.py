@@ -19,9 +19,10 @@ import numpy as np
 
 from repro.core.bplus_tree import BPlusTree
 from repro.core.immutable_btree import ImmutableBTree
+from repro.core.window_index import WindowIndex
 
 
-class ChainedIndex:
+class ChainedIndex(WindowIndex):
     """Sliding-window index as a chain of interval sub-indexes."""
 
     def __init__(
@@ -80,6 +81,10 @@ class ChainedIndex:
             self.archived.pop(0)
             dropped += 1
         return dropped
+
+    def maintain(self, min_pos: int) -> bool:
+        self.expire(min_pos)
+        return False  # dropping sub-indexes is not a merge
 
     def probe(self, lo: int, hi: int, min_pos: int = -1) -> list[tuple[int, int]]:
         """Search every sub-index in the chain, filtering expired tuples."""

@@ -9,10 +9,14 @@ smaller w than on the paper's C++ testbed (see DESIGN.md §3).
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from repro.core.window_index import WindowIndex
 
-class NLWJWindow:
+
+class NLWJWindow(WindowIndex):
     """Ring-buffer count-based sliding window with linear band probes."""
 
     def __init__(self, window: int) -> None:
@@ -44,3 +48,9 @@ class NLWJWindow:
         # they can never match even when min_pos is still negative.
         m = (k >= lo) & (k <= hi) & (p >= max(min_pos, 0))
         return list(zip(k[m].tolist(), p[m].tolist()))
+
+    def probe_split(self, lo, hi, min_pos):
+        """A linear scan has no search step: all of it counts as scan."""
+        t0 = time.perf_counter()
+        out = self.probe(lo, hi, min_pos)
+        return out, 0.0, time.perf_counter() - t0

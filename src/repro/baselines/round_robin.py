@@ -13,9 +13,10 @@ is reproduced by the concurrency simulator and by the Spark harness.
 from __future__ import annotations
 
 from repro.core.bplus_tree import BPlusTree
+from repro.core.window_index import WindowIndex
 
 
-class RoundRobinIndex:
+class RoundRobinIndex(WindowIndex):
     """P local B+-Trees over an arrival-order-partitioned window."""
 
     def __init__(self, window: int, n_partitions: int, fanout: int = 16) -> None:
@@ -39,6 +40,8 @@ class RoundRobinIndex:
         inserted it (pos and pos - w are congruent only when P | w; we key
         the home partition on pos, so the deleter recomputes it)."""
         return self.locals[self._home(pos)].delete(key, pos)
+
+    retire = delete
 
     def probe(self, lo: int, hi: int, min_pos: int = -1) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []

@@ -7,7 +7,7 @@ the ``StepCosts`` into ``ServiceTimes`` for each approach.
 
 Service-time split: the paper's PIM-Tree holds a sub-index lock only for
 the B_i seek/scan/insert; the T_S descent and T_S leaf scan are
-lock-free. Our ``probe_split`` measures (search, scan) where 'search'
+lock-free. ``PIMTree.probe_split`` measures (search, scan) where 'search'
 covers both T_S and sub-index descents — we attribute the T_S share
 according to the height ratio, which the model only needs to first
 order (lock-held fractions shift the congestion knee, not its
@@ -17,9 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.bw_tree import BwTreeLike
+from repro.baselines.chained_index import ChainedIndex
+from repro.baselines.nlwj import NLWJWindow
+from repro.baselines.round_robin import RoundRobinIndex
 from repro.concurrency.simulator import ServiceTimes
+from repro.core.bplus_tree import BPlusTree
+from repro.core.im_tree import IMTree
+from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import diff_for_match_rate, gen_stream
+
+# approach -> index constructor (window, **kwargs); BPlusTree and
+# BwTreeLike hold no window.
+INDEXES = {
+    "bplus": lambda w, **kw: BPlusTree(**kw),
+    "chain": ChainedIndex,
+    "rr": RoundRobinIndex,
+    "bw": lambda w, **kw: BwTreeLike(**kw),
+    "nlwj": NLWJWindow,
+    "im": IMTree,
+    "pim": PIMTree,
+}
 
 
 @dataclass
@@ -38,14 +57,14 @@ def measure(
     n_process: int = 20_000,
     match_rate: float = 2.0,
     seed: int = 0,
-    **adapter_kwargs,
+    **index_kwargs,
 ) -> Calibration:
     """Measure per-step costs for ``approach`` at window size ``w``.
 
     The window is pre-filled with 2w tuples (both streams), then
     ``n_process`` tuples are timed.
     """
-    factory = lambda win: ibwj.ADAPTERS[approach](win, **adapter_kwargs)  # noqa: E731
+    factory = lambda win: INDEXES[approach](win, **index_kwargs)  # noqa: E731
     warmup = 2 * w
     seq = gen_stream(warmup + n_process, seed=seed)
     diff = diff_for_match_rate(match_rate, w)
@@ -85,8 +104,6 @@ def measure_merge_cost(
     import time
 
     import numpy as np
-
-    from repro.core.pim_tree import PIMTree
 
     rng = np.random.default_rng(seed)
     n = int((1 + merge_ratio) * w)

@@ -1,18 +1,20 @@
-"""Shared runner for the ``jobs/`` entrypoints.
+"""Runner for the evaluation tables of ``repro.bench.registry``.
 
-Each job wraps one evaluation table: it runs the full-scale generator,
-prints the rows as a markdown table (the same rows EXPERIMENTS.md
-records next to the paper's numbers) and writes ``results/<name>.md``.
-Jobs expose ``run(spark) -> pyspark DataFrame`` so they compose like any
-other Spark job, and a ``main()`` for ``spark-submit jobs/<name>.py``.
+``run_job`` runs one table's generator, prints the rows as a markdown
+table (the same rows EXPERIMENTS.md records next to the paper's numbers)
+and writes it to ``results_dir(scale)/<name>.md``. Full-scale tables go
+to ``results/``, which is committed; smoke-scale ones go to the
+git-ignored ``results/smoke/``, so a smoke run never overwrites
+full-scale numbers.
 """
 from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 
 def get_spark(app: str) -> SparkSession:
@@ -58,27 +60,25 @@ def to_markdown(pdf: pd.DataFrame) -> str:
     return "\n".join(lines)
 
 
-def run_job(
-    name: str,
-    title: str,
-    table_fn,
-    *,
-    needs_spark: bool = False,
-    scale: str = "full",
-) -> DataFrame:
-    """Execute a table generator, print + persist markdown, return the
-    result as a Spark DataFrame."""
-    spark = get_spark(name)
+def results_dir(scale: str) -> Path:
+    """``results/`` for full-scale tables, ``results/<scale>/`` otherwise."""
+    root = Path(__file__).resolve().parents[3] / "results"
+    return root if scale == "full" else root / scale
+
+
+def run_job(table, spark: SparkSession, scale: str = "full") -> pd.DataFrame:
+    """Run one registry table, print + persist its markdown, return its
+    rows."""
     t0 = time.perf_counter()
-    pdf: pd.DataFrame = (
-        table_fn(spark, scale) if needs_spark else table_fn(scale)
-    )
+    args = (spark, scale) if table.needs_spark else (scale,)
+    pdf: pd.DataFrame = table.generator(*args)
     dt = time.perf_counter() - t0
-    md = f"## {name} — {title}\n\n{to_markdown(pdf)}\n\n_generated in {dt:.1f}s_\n"
+    md = (
+        f"## {table.name} — {table.title}\n\n{to_markdown(pdf)}\n\n"
+        f"_generated in {dt:.1f}s_\n"
+    )
     print(md)
-    out_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))), "results")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{name}.md"), "w") as f:
-        f.write(md)
-    return spark.createDataFrame(pdf)
+    out_dir = results_dir(scale)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{table.name}.md").write_text(md, encoding="utf-8")
+    return pdf

@@ -23,6 +23,7 @@ from repro.concurrency.simulator import (
     simulate,
     simulate_round_robin,
 )
+from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import diff_for_match_rate, gen_stream
@@ -277,11 +278,11 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
 
         n_cc = int(6.6 * w) + 8000  # several merge cycles per run
         no_cc = st_tput(
-            lambda win: ibwj.PIMAdapter(win, 1.0, 2, use_locks=False),
+            lambda win: PIMTree(win, 1.0, 2, use_locks=False),
             w, merge_ratio=1.0, self_join=self_join, n_process=n_cc,
         )
         with_cc = st_tput(
-            lambda win: ibwj.PIMAdapter(win, 1.0, 2),
+            lambda win: PIMTree(win, 1.0, 2),
             w, merge_ratio=1.0, self_join=self_join, n_process=n_cc,
         )
         for p in threads:
@@ -344,10 +345,10 @@ def table_selfjoin(scale: str = "full") -> pd.DataFrame:
     rows = []
     for w in ws:
         bp = st_tput(
-            lambda win: ibwj.BPlusAdapter(win), w, self_join=True
+            lambda win: BPlusTree(), w, self_join=True
         )
         pim = st_tput(
-            lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
+            lambda win: PIMTree(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
         )
         sim, _ = _sim_pim(w, HW_THREADS, merge_ratio=1.0, n_process=12000)
@@ -542,23 +543,22 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     warm, n = 2 * w, 12000
     seq = gen_stream(warm + n, seed=1)
     diff = diff_for_match_rate(2.0, w)
-    adapters = {}
+    trees = []
 
     def factory(win):
-        a = ibwj.PIMAdapter(win, 1.0, 2)
-        adapters[len(adapters)] = a
-        return a
+        trees.append(PIMTree(win, 1.0, 2))
+        return trees[-1]
 
     ibwj.run_ibwj(
         seq, w, w, diff, factory,
         collect_pairs=False, warmup=warm, probe_during_warmup=False,
     )
     loads = stores = 0
-    for a in adapters.values():
-        loads += a.idx.t_s.bytes_loaded
-        loads += sum(b.bytes_loaded for b in a.idx.subindexes)
-        stores += sum(b.bytes_stored for b in a.idx.subindexes)
-        stores += len(a.idx.t_s) * 8 * a.idx.n_merges  # merge writes
+    for t in trees:
+        loads += t.t_s.bytes_loaded
+        loads += sum(b.bytes_loaded for b in t.subindexes)
+        stores += sum(b.bytes_stored for b in t.subindexes)
+        stores += len(t.t_s) * 8 * t.n_merges  # merge writes
     per_tuple_load = loads / (warm + n)
     per_tuple_store = max(stores / (warm + n), 1.0)
     _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 10000)

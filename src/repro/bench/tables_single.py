@@ -15,6 +15,9 @@ import time
 import numpy as np
 import pandas as pd
 
+from repro.baselines.chained_index import ChainedIndex
+from repro.core.bplus_tree import BPlusTree
+from repro.core.im_tree import IMTree
 from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import (
@@ -65,16 +68,16 @@ def table_chained_index(scale: str = "full") -> pd.DataFrame:
     lengths = [2, 3, 4, 6, 8, 12] if scale == "full" else [2, 4]
     n = _n_process(w) if scale == "full" else 6000
     rows = []
-    bp = throughput(lambda win: ibwj.BPlusAdapter(win), w, n_process=n)
+    bp = throughput(lambda win: BPlusTree(), w, n_process=n)
     for L in lengths:
         rows.append(
             {
                 "L": L,
                 "b_chain": throughput(
-                    lambda win: ibwj.ChainAdapter(win, L, False), w, n_process=n
+                    lambda win: ChainedIndex(win, L, False), w, n_process=n
                 ),
                 "ib_chain": throughput(
-                    lambda win: ibwj.ChainAdapter(win, L, True), w, n_process=n
+                    lambda win: ChainedIndex(win, L, True), w, n_process=n
                 ),
                 "bplus_ref": bp,
             }
@@ -91,7 +94,7 @@ def table_insertion_depth_single(scale: str = "full") -> pd.DataFrame:
         row = {"w": w}
         for d in depths:
             row[f"d{d}"] = throughput(
-                lambda win: ibwj.PIMAdapter(win, 0.125, d), w
+                lambda win: PIMTree(win, 0.125, d), w
             )
         rows.append(row)
     return pd.DataFrame(rows)
@@ -109,8 +112,8 @@ def table_merge_ratio_single(
         else [2**-4, 1.0]
     )
     mk = {
-        "im": lambda win, m: ibwj.IMAdapter(win, m),
-        "pim": lambda win, m: ibwj.PIMAdapter(win, m, 2),
+        "im": lambda win, m: IMTree(win, m),
+        "pim": lambda win, m: PIMTree(win, m, 2),
     }[tree]
     rows = []
     for w in ws:
@@ -129,9 +132,9 @@ def table_cost_breakdown(scale: str = "full") -> pd.DataFrame:
     ours 2^13/2^17)."""
     ws = [1 << 13, 1 << 17] if scale == "full" else [1 << 12]
     factories = {
-        "bplus": lambda win: ibwj.BPlusAdapter(win),
-        "im": lambda win: ibwj.IMAdapter(win, 0.125),
-        "pim": lambda win: ibwj.PIMAdapter(win, 0.125, 2),
+        "bplus": lambda win: BPlusTree(),
+        "im": lambda win: IMTree(win, 0.125),
+        "pim": lambda win: PIMTree(win, 0.125, 2),
     }
     rows = []
     for w in ws:
@@ -167,13 +170,13 @@ def table_single_threaded_compare(scale: str = "full") -> pd.DataFrame:
         rows.append(
             {
                 "w": w,
-                "bplus": throughput(lambda win: ibwj.BPlusAdapter(win), w),
-                "im": throughput(lambda win: ibwj.IMAdapter(win, 0.125), w),
+                "bplus": throughput(lambda win: BPlusTree(), w),
+                "im": throughput(lambda win: IMTree(win, 0.125), w),
                 "pim_nocc": throughput(
-                    lambda win: ibwj.PIMAdapter(win, 0.125, 2, use_locks=False), w
+                    lambda win: PIMTree(win, 0.125, 2, use_locks=False), w
                 ),
                 "pim_cc": throughput(
-                    lambda win: ibwj.PIMAdapter(win, 0.125, 2), w
+                    lambda win: PIMTree(win, 0.125, 2), w
                 ),
             }
         )
@@ -197,9 +200,9 @@ def table_match_rate(scale: str = "full") -> pd.DataFrame:
     for r in rates:
         row = {"match_rate": r}
         for name, f in {
-            "bplus": lambda win: ibwj.BPlusAdapter(win),
-            "im": lambda win: ibwj.IMAdapter(win, 0.125),
-            "pim": lambda win: ibwj.PIMAdapter(win, 0.125, 2),
+            "bplus": lambda win: BPlusTree(),
+            "im": lambda win: IMTree(win, 0.125),
+            "pim": lambda win: PIMTree(win, 0.125, 2),
         }.items():
             row[name] = throughput(f, w, match_rate=r)
         rows.append(row)
@@ -210,8 +213,6 @@ def table_memory_footprint(scale: str = "full") -> pd.DataFrame:
     """Fig. 11a: bytes for B+-Tree vs PIM-Tree components (T_S, T_I,
     merge buffer) at varying element counts; merge ratio 1 (largest T_I),
     as in the paper."""
-    from repro.core.bplus_tree import BPlusTree
-
     sizes = (
         [1 << 14, 1 << 16, 1 << 18] if scale == "full" else [1 << 12]
     )
@@ -257,7 +258,7 @@ def table_asymmetric_windows_single(scale: str = "full") -> pd.DataFrame:
             diff = diff_for_match_rate(2.0, max(w_r, w_s))
             res = ibwj.run_ibwj(
                 seq, w_r, w_s, diff,
-                lambda win: ibwj.PIMAdapter(win, 0.125, 2),
+                lambda win: PIMTree(win, 0.125, 2),
                 collect_pairs=False, warmup=warm,
                 probe_during_warmup=False,
             )

@@ -17,7 +17,10 @@ the access pattern the paper's baseline exercises.
 from __future__ import annotations
 
 import bisect
+import time
 from typing import Iterator
+
+from repro.core.window_index import WindowIndex
 
 _ELEM_BYTES = 8  # 4 B key + 4 B window reference, as in the paper (Fig 11a)
 _PTR_BYTES = 8
@@ -41,7 +44,7 @@ class _Inner:
         self.children: list = []
 
 
-class BPlusTree:
+class BPlusTree(WindowIndex):
     """In-memory B+-Tree keyed by int with (key, pos) elements.
 
     ``fanout`` is the maximum number of children of an inner node and the
@@ -176,6 +179,8 @@ class BPlusTree:
             leaf = leaf.nxt
         return False
 
+    retire = delete  # the window's expired tuple is deleted individually
+
     # -- search -----------------------------------------------------------
     def _descend(self, key: int) -> _Leaf:
         node = self._root
@@ -223,6 +228,15 @@ class BPlusTree:
         """All elements with lo <= key <= hi and pos >= min_pos, key-sorted."""
         leaf, i = self.seek(lo)
         return self.scan(leaf, i, hi, min_pos)
+
+    probe = search_range
+
+    def probe_split(self, lo, hi, min_pos):
+        t0 = time.perf_counter()
+        leaf, i = self.seek(lo)
+        t1 = time.perf_counter()
+        out = self.scan(leaf, i, hi, min_pos)
+        return out, t1 - t0, time.perf_counter() - t1
 
     def items_arrays(self):
         """All elements in key order as numpy arrays (keys, poss).

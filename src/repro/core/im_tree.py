@@ -11,10 +11,13 @@ paper's coarse-grained tuple-disposal scheme.
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.core.bplus_tree import BPlusTree
 from repro.core.immutable_btree import ImmutableBTree
+from repro.core.window_index import WindowIndex
 
 
 def merge_sorted(
@@ -31,7 +34,7 @@ def merge_sorted(
     return np.insert(sk, at, ik), np.insert(sp, at, ip)
 
 
-class IMTree:
+class IMTree(WindowIndex):
     """Sliding-window index with delta-merge maintenance.
 
     Parameters mirror the paper: ``window`` is w, ``merge_ratio`` is m
@@ -66,6 +69,12 @@ class IMTree:
     def needs_merge(self) -> bool:
         return len(self.t_i) >= self.merge_threshold
 
+    def maintain(self, min_pos: int) -> bool:
+        if not self.needs_merge():
+            return False
+        self.merge(min_pos)
+        return True
+
     def merge(self, min_pos: int) -> int:
         """Merge T_I into T_S, dropping T_S elements with pos < min_pos.
 
@@ -90,6 +99,18 @@ class IMTree:
         sk, sp = self.t_s.search_range(lo, hi, min_pos)
         out.extend(zip(sk, sp))
         return out
+
+    probe = search_range
+
+    def probe_split(self, lo, hi, min_pos):
+        """Both descents count as search, both leaf scans as scan."""
+        t0 = time.perf_counter()
+        leaf, i = self.t_i.seek(lo)
+        start = self.t_s.find_start(lo)
+        t1 = time.perf_counter()
+        out = self.t_i.scan(leaf, i, hi, min_pos)
+        out.extend(zip(*self.t_s.scan(start, hi, min_pos)))
+        return out, t1 - t0, time.perf_counter() - t1
 
     def memory_bytes(self) -> int:
         # T_S + T_I + the merge buffer (sized like the merged output),

@@ -151,19 +151,13 @@ class ImmutableBTree:
         self.bytes_loaded += (self.height + 1) * self.fanout * 4
         return bisect.bisect_left(self._keys_list, lo, 0, n)
 
-    def search_range(
-        self, lo: int, hi: int, min_pos: int = -1
+    def scan(
+        self, start: int, hi: int, min_pos: int = -1
     ) -> tuple[list[int], list[int]]:
-        """Elements with lo <= key <= hi and pos >= min_pos (expiry filter).
-
-        Descent via the inner levels, then a linear leaf scan; returns
-        (keys, poss) lists sorted by key.
-        """
-        n = len(self.keys)
-        if n == 0:
-            return [], []
-        start = self.find_start(lo)
-        end = bisect.bisect_right(self._keys_list, hi, start, n)
+        """Linear leaf scan from element ``start`` while key <= hi,
+        dropping elements with pos < min_pos (expiry filter); returns
+        (keys, poss) lists sorted by key."""
+        end = bisect.bisect_right(self._keys_list, hi, start, len(self.keys))
         if end <= start:
             return [], []
         self.bytes_loaded += (end - start) * _ELEM_BYTES
@@ -175,6 +169,13 @@ class ImmutableBTree:
                 k = [k[j] for j in live]
                 p = [p[j] for j in live]
         return k, p
+
+    def search_range(
+        self, lo: int, hi: int, min_pos: int = -1
+    ) -> tuple[list[int], list[int]]:
+        """Elements with lo <= key <= hi and pos >= min_pos: the descent
+        (``find_start``) then the leaf ``scan``."""
+        return self.scan(self.find_start(lo), hi, min_pos)
 
     def partition_bounds(self, depth: int) -> np.ndarray:
         """Upper key bounds of the depth-``depth`` nodes: sub-index ``i``

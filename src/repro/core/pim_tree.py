@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import bisect
 import threading
+import time
 
 import numpy as np
 
 from repro.core.bplus_tree import BPlusTree
 from repro.core.im_tree import merge_sorted
 from repro.core.immutable_btree import ImmutableBTree
+from repro.core.window_index import WindowIndex
 
 
 def _merged_arrays(tree: "PIMTree", min_pos: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +43,7 @@ def _merged_arrays(tree: "PIMTree", min_pos: int) -> tuple[np.ndarray, np.ndarra
     return merge_sorted(tree.t_s.keys[live], tree.t_s.poss[live], ik, ip)
 
 
-class PIMTree:
+class PIMTree(WindowIndex):
     """Two-stage partitioned sliding-window index.
 
     ``insertion_depth`` is D_I (root = depth 0). While T_S is empty (before
@@ -109,6 +111,12 @@ class PIMTree:
 
     def needs_merge(self) -> bool:
         return self._n_i >= self.merge_threshold
+
+    def maintain(self, min_pos: int) -> bool:
+        if not self.needs_merge():
+            return False
+        self.merge(min_pos)
+        return True
 
     def route(self, key: int) -> int:
         """Sub-index covering ``key`` (T_S traversal to depth D_I; routed
@@ -207,6 +215,22 @@ class PIMTree:
                 self.lock_acquisitions += 1
                 out.extend(self.subindexes[i].search_range(lo, hi, min_pos))
         return out
+
+    probe = search_range
+
+    def probe_split(self, lo, hi, min_pos):
+        """The T_S descent, routing and sub-index descents count as
+        search, the leaf scans as scan. Takes no locks: single-threaded
+        cost accounting only."""
+        t0 = time.perf_counter()
+        start = self.t_s.find_start(lo)
+        i0, i1 = self.route(lo), self.route(hi)
+        seeks = [self.subindexes[i].seek(lo) for i in range(i0, i1 + 1)]
+        t1 = time.perf_counter()
+        out = list(zip(*self.t_s.scan(start, hi, min_pos)))
+        for j, (leaf, i) in enumerate(seeks):
+            out.extend(self.subindexes[i0 + j].scan(leaf, i, hi, min_pos))
+        return out, t1 - t0, time.perf_counter() - t1
 
     def memory_bytes(self) -> int:
         return (

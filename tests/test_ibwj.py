@@ -1,9 +1,16 @@
 """Oracle-equivalence tests for the single-threaded IBWJ driver across
-every index adapter and workload shape the paper evaluates."""
+every index structure and workload shape the paper evaluates."""
 import gc
 
 import pytest
 
+from repro.baselines.bw_tree import BwTreeLike
+from repro.baselines.chained_index import ChainedIndex
+from repro.baselines.nlwj import NLWJWindow
+from repro.baselines.round_robin import RoundRobinIndex
+from repro.core.bplus_tree import BPlusTree
+from repro.core.im_tree import IMTree
+from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import (
     diff_for_match_rate,
@@ -12,21 +19,21 @@ from repro.join.streams import (
 )
 
 FACTORIES = {
-    "bplus": lambda w: ibwj.BPlusAdapter(w),
-    "chain2_b": lambda w: ibwj.ChainAdapter(w, 2, False),
-    "chain2_ib": lambda w: ibwj.ChainAdapter(w, 2, True),
-    "chain5_b": lambda w: ibwj.ChainAdapter(w, 5, False),
-    "chain5_ib": lambda w: ibwj.ChainAdapter(w, 5, True),
-    "rr1": lambda w: ibwj.RoundRobinAdapter(w, 1),
-    "rr4": lambda w: ibwj.RoundRobinAdapter(w, 4),
-    "bw": lambda w: ibwj.BwAdapter(w),
-    "nlwj": lambda w: ibwj.NLWJAdapter(w),
-    "im_m125": lambda w: ibwj.IMAdapter(w, 0.125),
-    "im_m1": lambda w: ibwj.IMAdapter(w, 1.0),
-    "pim_d1": lambda w: ibwj.PIMAdapter(w, 0.25, 1),
-    "pim_d2": lambda w: ibwj.PIMAdapter(w, 0.25, 2),
-    "pim_d3": lambda w: ibwj.PIMAdapter(w, 1.0, 3),
-    "pim_nocc": lambda w: ibwj.PIMAdapter(w, 0.25, 2, use_locks=False),
+    "bplus": lambda w: BPlusTree(),
+    "chain2_b": lambda w: ChainedIndex(w, 2, False),
+    "chain2_ib": lambda w: ChainedIndex(w, 2, True),
+    "chain5_b": lambda w: ChainedIndex(w, 5, False),
+    "chain5_ib": lambda w: ChainedIndex(w, 5, True),
+    "rr1": lambda w: RoundRobinIndex(w, 1),
+    "rr4": lambda w: RoundRobinIndex(w, 4),
+    "bw": lambda w: BwTreeLike(),
+    "nlwj": lambda w: NLWJWindow(w),
+    "im_m125": lambda w: IMTree(w, 0.125),
+    "im_m1": lambda w: IMTree(w, 1.0),
+    "pim_d1": lambda w: PIMTree(w, 0.25, 1),
+    "pim_d2": lambda w: PIMTree(w, 0.25, 2),
+    "pim_d3": lambda w: PIMTree(w, 1.0, 3),
+    "pim_nocc": lambda w: PIMTree(w, 0.25, 2, use_locks=False),
 }
 
 
@@ -131,7 +138,7 @@ def test_measure_mode_collects_step_costs():
     diff = diff_for_match_rate(2.0, w)
     res = ibwj.run_ibwj(
         seq, w, w, diff,
-        lambda win: ibwj.PIMAdapter(win, 0.125, 2),
+        lambda win: PIMTree(win, 0.125, 2),
         collect_pairs=False, measure=True,
     )
     c = res.costs
@@ -142,13 +149,28 @@ def test_measure_mode_collects_step_costs():
     assert set(per) == {"search", "scan", "insert", "delete", "merge"}
 
 
-def test_measure_mode_same_results_as_fast_mode():
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_measure_mode_same_results_as_fast_mode(name):
+    """The timed probe (``probe_split``) finds the same pairs as ``probe``
+    and attributes its time by structure: seek/scan for the trees, all
+    scan for NLWJ, all search for the rest; only IM/PIM merges count."""
     w = 96
     seq = gen_stream(1500, seed=20)
     diff = diff_for_match_rate(2.0, w)
-    r1 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES["im_m125"], measure=True)
-    r2 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES["im_m125"], measure=False)
-    assert set(r1.pairs) == set(r2.pairs)
+    r1 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES[name], measure=True)
+    r2 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES[name], measure=False)
+    assert sorted(r1.pairs) == sorted(r2.pairs)
+    c = r1.costs
+    if name == "nlwj":
+        assert c.search == 0 and c.scan > 0
+    elif name.startswith(("chain", "rr", "bw")):
+        assert c.search > 0 and c.scan == 0
+    else:
+        assert c.search > 0 and c.scan > 0
+    merges = name.startswith(("im", "pim"))
+    assert (c.n_merges > 0) == merges
+    assert (c.merge > 0) == merges
+    assert c.n_merges == r2.costs.n_merges
 
 
 def test_pairs_df_schema():
@@ -165,7 +187,26 @@ def test_throughput_positive():
     assert res.n_processed == 800
 
 
-class _RaisingAdapter(ibwj.BPlusAdapter):
+@pytest.mark.parametrize("name", ["bplus", "pim_d2"])
+def test_cost_is_linear_in_stream_length(name):
+    """Per-tuple cost must not grow with the stream: a 4x longer stream
+    may cost at most 2x per tuple (margin for timing noise)."""
+    w = 128
+    diff = diff_for_match_rate(2.0, w)
+
+    def us_per_tuple(n):
+        seq = gen_stream(n, seed=24)
+        best = min(
+            ibwj.run_ibwj(seq, w, w, diff, FACTORIES[name]).elapsed
+            for _ in range(3)
+        )
+        return best / n * 1e6
+
+    small, large = us_per_tuple(4000), us_per_tuple(16000)
+    assert large <= 2 * small, f"{small:.1f} -> {large:.1f} us/tuple"
+
+
+class _RaisingIndex(BPlusTree):
     def insert(self, key, pos):
         raise RuntimeError("insert failed")
 
@@ -175,7 +216,7 @@ def test_gc_reenabled_after_adapter_raises():
     assert gc.isenabled()
     seq = gen_stream(50, seed=22)
     with pytest.raises(RuntimeError, match="insert failed"):
-        ibwj.run_ibwj(seq, 16, 16, 100, _RaisingAdapter)
+        ibwj.run_ibwj(seq, 16, 16, 100, lambda w: _RaisingIndex())
     assert gc.isenabled()
 
 

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.spark_join import (
     key_bounds,
@@ -125,7 +126,7 @@ def test_spark_matches_single_threaded_driver(spark):
     seq = gen_stream(2500, seed=39)
     diff = diff_for_match_rate(2.0, w)
     st = ibwj.run_ibwj(
-        seq, w, w, diff, lambda win: ibwj.PIMAdapter(win, 0.5, 2)
+        seq, w, w, diff, lambda win: PIMTree(win, 0.5, 2)
     )
     got = parallel_band_join(spark, seq, w, w, diff, n_partitions=8).toPandas()
     assert set(zip(got.later_gpos, got.earlier_gpos)) == set(st.pairs)
